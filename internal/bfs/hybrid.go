@@ -19,11 +19,17 @@ import (
 // frontier edge. The switching rule follows Beamer's heuristic (the GBBS
 // defaults): go bottom-up when a growing frontier's outgoing edges exceed
 // the unexplored edges divided by alpha, return top-down when the frontier
-// shrinks below |V|/beta.
+// shrinks below |V|/beta. Entry also asks for the exit test's frontier of
+// at least |V|/beta, so the kernel never enters a direction it would leave
+// on the next level (as GBBS, which goes dense only on a frontier that is
+// a large share of the graph).
 //
 // Instrumented runs record one PhaseSample per level with the direction in
 // the phase name ("level-td" / "level-bu"), so the crossover is readable
-// directly from the Recorder stream (see EXPERIMENTS.md).
+// directly from the Recorder stream (see EXPERIMENTS.md). A top-down
+// sample's Edges is the frontier's degree sum, every edge it relaxes; a
+// bottom-up sample's is the adjacency entries the sweep read before each
+// unvisited vertex found its parent or ran out of neighbours.
 
 // HybridConfig tunes the direction switch; zero values select the
 // published defaults (alpha 14, beta 24).
@@ -76,11 +82,13 @@ func HybridTeamCtx(ctx context.Context, g *graph.Graph, source int32, team *sche
 
 // hybridLocal is one worker's claim accumulation for a hybrid level: the
 // claimed vertices plus the sum of their degrees, gathered in the same
-// pass so the direction heuristic never rescans the frontier.
+// pass so the direction heuristic never rescans the frontier, and the
+// adjacency entries a bottom-up sweep read (its level sample's edges).
 type hybridLocal struct {
-	buf   []int32
-	edges int64
-	_     [32]byte
+	buf     []int32
+	edges   int64
+	scanned int64
+	_       [24]byte
 }
 
 // Hybrid runs the direction-optimizing BFS on the scratch's pooled state.
@@ -114,22 +122,27 @@ func (s *Scratch) Hybrid(ctx context.Context, g *graph.Graph, source int32, team
 			xadj, adj, lvls, lv := s.xadj, s.adj, s.levels, s.lv
 			local := &s.hlocals[w]
 			buf := local.buf
-			var edges int64
+			var edges, scanned int64
 			for v := lo; v < hi; v++ {
 				if lvls[v] != Unvisited {
 					continue
 				}
-				for j := xadj[v]; j < xadj[v+1]; j++ {
+				first, end := xadj[v], xadj[v+1]
+				j := first
+				for ; j < end; j++ {
 					if atomic.LoadInt32(&lvls[adj[j]]) == lv-1 {
 						atomic.StoreInt32(&lvls[v], lv)
 						buf = append(buf, int32(v))
-						edges += xadj[v+1] - xadj[v]
+						edges += end - first
+						j++ // the hit was read too
 						break
 					}
 				}
+				scanned += j - first
 			}
 			local.buf = buf
 			local.edges += edges
+			local.scanned += scanned
 		}
 		s.hybridTD = func(lo, hi, w int) {
 			xadj, adj, lvls, lv := s.xadj, s.adj, s.levels, s.lv
@@ -168,16 +181,20 @@ func (s *Scratch) Hybrid(ctx context.Context, g *graph.Graph, source int32, team
 		// Beamer's switching heuristic with hysteresis: enter bottom-up
 		// when a *growing* frontier's outgoing edges exceed the unexplored
 		// edges / alpha; return to top-down once the frontier shrinks
-		// below |V| / beta. The frontier's edge count was accumulated by
-		// the workers while claiming, so no rescan happens here.
+		// below |V| / beta. Entry is guarded by the same |V| / beta test,
+		// so a narrow frontier with a heavy edge count (the tail of a mesh
+		// ribbon) is not sent bottom-up only to flip back a level later.
+		// The frontier's edge count was accumulated by the workers while
+		// claiming, so no rescan happens here.
 		frontierEdges := curEdges
 		unexplored -= frontierEdges
 		growing := len(cur) > prevFrontier
 		prevFrontier = len(cur)
-		if !bottomUp {
-			bottomUp = growing && frontierEdges > unexplored/cfg.alpha()
+		wide := int64(len(cur)) >= int64(n)/cfg.beta()
+		if bottomUp {
+			bottomUp = wide
 		} else {
-			bottomUp = int64(len(cur)) >= int64(n)/cfg.beta()
+			bottomUp = wide && growing && frontierEdges > unexplored/cfg.alpha()
 		}
 
 		var levelStart time.Time
@@ -187,6 +204,7 @@ func (s *Scratch) Hybrid(ctx context.Context, g *graph.Graph, source int32, team
 		for w := 0; w < workers; w++ {
 			s.hlocals[w].buf = s.hlocals[w].buf[:0]
 			s.hlocals[w].edges = 0
+			s.hlocals[w].scanned = 0
 		}
 		var err error
 		s.lv = lv
@@ -210,14 +228,17 @@ func (s *Scratch) Hybrid(ctx context.Context, g *graph.Graph, source int32, team
 		// barrier) and roll up its edge count for the next switch.
 		next = next[:0]
 		curEdges = 0
+		var scanned int64
 		for w := 0; w < workers; w++ {
 			next = append(next, s.hlocals[w].buf...)
 			curEdges += s.hlocals[w].edges
+			scanned += s.hlocals[w].scanned
 		}
 		if telemetry.Active(rec) {
 			sample := levelSample(lv-1, int64(len(cur)), frontierEdges, int64(len(next)))
 			if bottomUp {
 				sample.Phase = "level-bu"
+				sample.Edges = scanned
 			} else {
 				sample.Phase = "level-td"
 			}
@@ -227,8 +248,8 @@ func (s *Scratch) Hybrid(ctx context.Context, g *graph.Graph, source int32, team
 		cur, next = next, cur
 	}
 	s.frontA, s.frontB = cur[:0], next[:0]
-	hres := s.finish(processed, maxLevel)
-	hres.Duplicates = 0 // locked/exclusive claims: no duplicates possible
-	res.Result = hres
+	// Locked and exclusive claims enqueue each vertex once, so finish's
+	// Duplicates (processed - reached) reads 0 unless a claim misfired.
+	res.Result = s.finish(processed, maxLevel)
 	return res, nil
 }

@@ -92,13 +92,46 @@ func TestHybridMatchesSequential(t *testing.T) {
 }
 
 func TestHybridUsesBottomUpOnWideFrontier(t *testing.T) {
-	// A complete graph's level 1 is the whole graph: must go bottom-up.
+	// A complete graph's level 1 is the whole graph, and RMAT's hub-skewed
+	// middle levels hold most of it: both must go bottom-up, entry guard
+	// included.
 	team := sched.NewTeam(4)
 	defer team.Close()
-	g := gen.Complete(200)
-	res := HybridTeam(g, 0, team, sched.ForOptions{Policy: sched.Dynamic, Chunk: 16}, HybridConfig{})
-	if res.BottomUpLevels == 0 {
-		t.Error("complete graph BFS never switched to bottom-up")
+	for name, g := range map[string]*graph.Graph{
+		"complete-200": gen.Complete(200),
+		"rmat-12":      gen.RMAT(12, 16, 0.57, 0.19, 0.19, 1),
+	} {
+		res := HybridTeam(g, 0, team, sched.ForOptions{Policy: sched.Dynamic, Chunk: 16}, HybridConfig{})
+		if err := Validate(g, 0, res.Levels); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if res.BottomUpLevels == 0 {
+			t.Errorf("%s: BFS never switched to bottom-up (%d levels)", name, res.NumLevels)
+		}
+	}
+}
+
+func TestHybridStaysTopDownOnMeshRibbon(t *testing.T) {
+	// From a corner of the pwtk stand-in the frontier is a narrow ribbon
+	// whose degree sum still beats unexplored/α near the far end. Each of
+	// those frontiers is under |V|/β, so bottom-up would last one level;
+	// the entry guard keeps them all top-down.
+	cfg, err := gen.SuiteConfig("pwtk")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := gen.Mesh(gen.Scaled(cfg, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	team := sched.NewTeam(2)
+	defer team.Close()
+	res := HybridTeam(g, 0, team, sched.ForOptions{Policy: sched.Dynamic, Chunk: 64}, HybridConfig{})
+	if err := Validate(g, 0, res.Levels); err != nil {
+		t.Fatal(err)
+	}
+	if res.BottomUpLevels != 0 {
+		t.Errorf("pwtk/4 BFS from a corner used bottom-up on %d of %d levels", res.BottomUpLevels, res.NumLevels)
 	}
 }
 

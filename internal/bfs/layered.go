@@ -12,7 +12,9 @@ import (
 // OpenMP (Team) and TBB (Pool + partitioner) flavours. The two variants per
 // runtime differ in how a vertex is claimed for the next level:
 //
-//   - locked: compare-and-swap on the level word; exactly-once insertion;
+//   - locked: check before locking — an atomic load skips an already
+//     visited vertex, and only an unvisited one is claimed with
+//     compare-and-swap on the level word; exactly-once insertion;
 //   - relaxed: plain check-then-store (via atomics for Go memory-model
 //     sanity); duplicates possible and benign (§III-C, Leiserson–Schardl).
 //
@@ -25,9 +27,14 @@ import (
 // performance in our implementation (32 in this case)", §V-D).
 const DefaultBlockSize = 32
 
-// claimLocked claims w for level lv exactly once.
+// claimLocked claims w for level lv exactly once. The load tests before it
+// locks (the paper's check before lock): a visited neighbour, by far the
+// common case on a mesh, costs a read of a shared cache line instead of a
+// locked read-modify-write that bounces it between workers. The CAS still
+// decides, so concurrent claimers of an unvisited vertex cannot both win.
 func claimLocked(levels []int32, w int32, lv int32) bool {
-	return atomic.CompareAndSwapInt32(&levels[w], Unvisited, lv)
+	return atomic.LoadInt32(&levels[w]) == Unvisited &&
+		atomic.CompareAndSwapInt32(&levels[w], Unvisited, lv)
 }
 
 // claimRelaxed claims w for level lv without synchronisation between check

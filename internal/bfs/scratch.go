@@ -2,7 +2,6 @@ package bfs
 
 import (
 	"context"
-	"sync/atomic"
 	"time"
 
 	"micgraph/internal/graph"
@@ -401,14 +400,9 @@ func (s *Scratch) TLSTeam(ctx context.Context, g *graph.Graph, source int32, tea
 			for i := lo; i < hi; i++ {
 				v := s.cur[i]
 				for j := xadj[v]; j < xadj[v+1]; j++ {
-					u := adj[j]
-					// Check before locking (the paper's improvement), then
-					// claim with CAS — the lock-free equivalent of SNAP's
-					// per-vertex lock.
-					if atomic.LoadInt32(&lvls[u]) != Unvisited {
-						continue
-					}
-					if claimLocked(lvls, u, lv) {
+					// Check before locking, then claim with CAS: the
+					// lock-free equivalent of SNAP's per-vertex lock.
+					if u := adj[j]; claimLocked(lvls, u, lv) {
 						local = append(local, u)
 					}
 				}
@@ -453,9 +447,9 @@ func (s *Scratch) TLSTeam(ctx context.Context, g *graph.Graph, source int32, tea
 		cur, next = next, cur
 	}
 	s.frontA, s.frontB = cur[:0], next[:0]
-	res := s.finish(processed, maxLevel)
-	res.Duplicates = 0 // locked claims: every vertex enters exactly one queue
-	return res, nil
+	// Locked claims enqueue each vertex once, so finish's Duplicates
+	// (processed - reached) reads 0 unless a claim misfired.
+	return s.finish(processed, maxLevel), nil
 }
 
 // BagCilk runs the Cilk bag-BFS on the scratch's pooled state. The

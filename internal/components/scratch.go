@@ -124,6 +124,7 @@ func (s *Scratch) PointerJumping(ctx context.Context, g *graph.Graph, team *sche
 	if s.hookBody == nil {
 		s.hookBody = func(lo, hi, w int) {
 			xadj, adj, par := s.xadj, s.adj, s.labels
+			localChanged := false
 			for v := lo; v < hi; v++ {
 				pv := atomic.LoadInt32(&par[v])
 				for j := xadj[v]; j < xadj[v+1]; j++ {
@@ -132,22 +133,29 @@ func (s *Scratch) PointerJumping(ctx context.Context, g *graph.Graph, team *sche
 						// CAS onto the root's parent; benign failures are
 						// retried next round.
 						if atomic.CompareAndSwapInt32(&par[pv], pv, pu) {
-							s.changed.Store(true)
+							localChanged = true
 						}
 						pv = pu
 					}
 				}
 			}
+			if localChanged {
+				s.changed.Store(true)
+			}
 		}
 		s.jumpBody = func(lo, hi, w int) {
 			par := s.labels
+			localJumped := false
 			for v := lo; v < hi; v++ {
 				p := atomic.LoadInt32(&par[v])
 				gp := atomic.LoadInt32(&par[p])
 				if gp != p {
 					atomic.StoreInt32(&par[v], gp)
-					s.jumped.Store(true)
+					localJumped = true
 				}
+			}
+			if localJumped {
+				s.jumped.Store(true)
 			}
 		}
 	}

@@ -19,36 +19,44 @@ func TestBFSMatchesOracle(t *testing.T) {
 	pool := sched.NewPool(4)
 	defer pool.Close()
 	opts := sched.ForOptions{Policy: sched.Dynamic, Chunk: 16}
+	eagerBottomUp := 0
 
+	// exact marks the variants whose locked claims insert every vertex
+	// exactly once: their Duplicates must be 0, not merely Processed at
+	// least the oracle's.
 	variants := []struct {
-		name string
-		run  func(nm Named, source int32) bfs.Result
+		name  string
+		exact bool
+		run   func(nm Named, source int32) bfs.Result
 	}{
-		{"omp-block", func(nm Named, s int32) bfs.Result {
+		{"omp-block", true, func(nm Named, s int32) bfs.Result {
 			return bfs.BlockTeam(nm.G, s, team, opts, 8, false)
 		}},
-		{"omp-block-relaxed", func(nm Named, s int32) bfs.Result {
+		{"omp-block-relaxed", false, func(nm Named, s int32) bfs.Result {
 			return bfs.BlockTeam(nm.G, s, team, opts, 8, true)
 		}},
-		{"tbb-block", func(nm Named, s int32) bfs.Result {
+		{"tbb-block", true, func(nm Named, s int32) bfs.Result {
 			return bfs.BlockTBB(nm.G, s, pool, sched.AutoPartitioner, 8, 8, false)
 		}},
-		{"tbb-block-relaxed", func(nm Named, s int32) bfs.Result {
+		{"tbb-block-relaxed", false, func(nm Named, s int32) bfs.Result {
 			return bfs.BlockTBB(nm.G, s, pool, sched.SimplePartitioner, 8, 8, true)
 		}},
-		{"tls", func(nm Named, s int32) bfs.Result {
+		{"tls", true, func(nm Named, s int32) bfs.Result {
 			return bfs.TLSTeam(nm.G, s, team, opts)
 		}},
-		{"bag", func(nm Named, s int32) bfs.Result {
+		{"bag", false, func(nm Named, s int32) bfs.Result {
 			return bfs.BagCilk(nm.G, s, pool, 16)
 		}},
-		{"hybrid", func(nm Named, s int32) bfs.Result {
+		{"hybrid", true, func(nm Named, s int32) bfs.Result {
 			return bfs.HybridTeam(nm.G, s, team, opts, bfs.HybridConfig{}).Result
 		}},
-		{"hybrid-eager", func(nm Named, s int32) bfs.Result {
-			// Aggressive switch thresholds force bottom-up levels even on
-			// sparse corpus graphs.
-			return bfs.HybridTeam(nm.G, s, team, opts, bfs.HybridConfig{Alpha: 1, Beta: 1}).Result
+		{"hybrid-eager", true, func(nm Named, s int32) bfs.Result {
+			// A huge α enters bottom-up on any growing frontier of at
+			// least |V|/β vertices; β=64 makes that a few vertices on the
+			// corpus graphs, and lets the frontier shrink back under it.
+			res := bfs.HybridTeam(nm.G, s, team, opts, bfs.HybridConfig{Alpha: 1 << 20, Beta: 64})
+			eagerBottomUp += res.BottomUpLevels
+			return res.Result
 		}},
 	}
 
@@ -57,8 +65,14 @@ func TestBFSMatchesOracle(t *testing.T) {
 			for _, src := range Sources(nm.G) {
 				got := v.run(nm, src)
 				CheckBFS(t, nm.Name+"/"+v.name, nm.G, src, got)
+				if v.exact && got.Duplicates != 0 {
+					t.Fatalf("%s/%s: %d duplicate frontier entries from locked claims", nm.Name, v.name, got.Duplicates)
+				}
 			}
 		}
+	}
+	if eagerBottomUp == 0 {
+		t.Fatal("hybrid-eager never went bottom-up on the corpus")
 	}
 }
 

@@ -197,7 +197,8 @@ const (
 // Direction-switch thresholds of the simulated hybrid traversal, matching
 // the real kernel's defaults (bfs.HybridConfig zero value): flip to
 // bottom-up when the frontier's out-edges exceed 1/α of the unexplored
-// edges, flip back when the frontier shrinks under |V|/β.
+// edges and the frontier holds at least |V|/β vertices, flip back when the
+// frontier shrinks under |V|/β.
 const (
 	HybridAlpha = 14
 	HybridBeta  = 24
@@ -344,10 +345,12 @@ func hybridPhases(m *Machine, g *graph.Graph, o Ordering, levels []int32, numLev
 		}
 		exploredDeg += frontierDeg
 		unexploredDeg := totalDeg - exploredDeg
-		if !bottomUp && frontierDeg > unexploredDeg/HybridAlpha {
-			bottomUp = true
-		} else if bottomUp && len(frontier) < n/HybridBeta {
-			bottomUp = false
+		// Entry and exit share the |V|/β frontier test, as in the kernel.
+		wide := len(frontier) >= n/HybridBeta
+		if bottomUp {
+			bottomUp = wide
+		} else {
+			bottomUp = wide && frontierDeg > unexploredDeg/HybridAlpha
 		}
 
 		if !bottomUp {
